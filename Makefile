@@ -97,12 +97,12 @@ fuzz:
 	$(GO) test ./internal/entropy -run '^$$' -fuzz FuzzEntropyClassifier -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cipher -run '^$$' -fuzz FuzzCipherBackends -fuzztime $(FUZZTIME)
 
-# Tier-1 suite under every AES backend (CL_CIPHER is the process
-# default each engine inherits); all three are bit-exact, so any
-# backend-dependent failure is a batching/backend bug.
+# Tier-1 suite under both AES backends (CL_CIPHER is the process
+# default each engine inherits); they are bit-exact, so any
+# backend-dependent failure is a batching/backend bug. ref is the slow
+# textbook anchor, so it runs the cipher-stack packages only.
 test-backends:
 	CL_CIPHER=ref $(GO) test ./internal/cipher ./internal/core ./internal/mcpool
-	CL_CIPHER=ttable $(GO) test ./...
 	CL_CIPHER=stdlib $(GO) test ./...
 
 clean:

@@ -13,7 +13,6 @@
 //	clbench -snapshots out/ # one metrics-JSON snapshot per simulated cell
 //	clbench -bench-json BENCH_1.json  # pinned perf suite -> schema-versioned snapshot
 //	clbench -bench-json out.json -bench-quick  # reduced windows (CI smoke)
-//	clbench -cipher stdlib  # hardware-class AES backend (ref | ttable | stdlib)
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"time"
 
 	"counterlight/internal/core"
-	"counterlight/internal/crypto/aes"
 	"counterlight/internal/figures"
 	"counterlight/internal/obs"
 	"counterlight/internal/obs/serve"
@@ -45,15 +43,7 @@ func main() {
 	concurrent := flag.Bool("concurrent", false, "benchmark the sharded concurrent engine against a serial engine on a fixed-seed trace and verify bit-identical aggregates")
 	benchJSON := flag.String("bench-json", "", "run the pinned perf suite and write a BENCH-schema snapshot to this path (clreport -bench-compare input)")
 	benchQuick := flag.Bool("bench-quick", false, "with -bench-json: reduced measurement windows for CI smoke runs")
-	cipherName := flag.String("cipher", "", "AES backend for every engine: ref | ttable | stdlib (empty = $CL_CIPHER, else ttable)")
 	flag.Parse()
-
-	if *cipherName != "" {
-		if err := aes.SetDefaultBackend(*cipherName); err != nil {
-			fmt.Fprintln(os.Stderr, "clbench:", err)
-			os.Exit(2)
-		}
-	}
 
 	if *benchJSON != "" {
 		os.Exit(runBenchJSON(*benchJSON, *benchQuick))

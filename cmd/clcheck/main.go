@@ -10,7 +10,7 @@
 //	clcheck -campaign faults.json -tokens repros.txt
 //	clcheck -repro Y2xrMQZhZXMxMjgB...
 //	clcheck -seeds 4 -schemes
-//	clcheck -seeds 64 -cipher stdlib  # engines on hardware-class AES, oracle on ref
+//	CL_CIPHER=ref clcheck -seeds 16   # engines on the textbook AES (default stdlib); the oracle is always ref
 //	clcheck -crash -seeds 200         # crash-injection campaign over the NVM engine
 //	clcheck -crash-break -seeds 20    # teeth check: broken recovery must be caught
 //	clcheck -cluster -seeds 20        # cluster chaos campaign: kill/restart a node mid-traffic
@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"counterlight/internal/check"
-	"counterlight/internal/crypto/aes"
 	"counterlight/internal/figures"
 	"counterlight/internal/obs"
 	"counterlight/internal/obs/flight"
@@ -51,15 +50,7 @@ func main() {
 	schemes := flag.Bool("schemes", false, "also sweep every registered timing scheme's Result invariants over the seeds")
 	metricsFile := flag.String("metrics", "", "write a Prometheus-text snapshot of the campaign counters to this file")
 	tokensFile := flag.String("tokens", "", "write minimized repro tokens (one per line) to this file on divergence")
-	cipherName := flag.String("cipher", "", "AES backend the engines under test run on: ref | ttable | stdlib (the oracle always recomputes through ref)")
 	flag.Parse()
-
-	if *cipherName != "" {
-		if err := aes.SetDefaultBackend(*cipherName); err != nil {
-			fmt.Fprintf(os.Stderr, "clcheck: %v\n", err)
-			os.Exit(2)
-		}
-	}
 
 	if *repro != "" {
 		os.Exit(replayToken(*repro))

@@ -7,7 +7,6 @@
 //	clsim -workload mcf -scheme counterless -bw 6.4 -aes256
 //	clsim -workload mcf -seeds 8 -j 4
 //	clsim -workload pchase128M -serve :8080 -series run.csv
-//	clsim -cipher stdlib  # hardware-class AES backend (ref | ttable | stdlib)
 //	clsim -list
 package main
 
@@ -26,7 +25,6 @@ import (
 	"time"
 
 	"counterlight/internal/core"
-	"counterlight/internal/crypto/aes"
 	"counterlight/internal/obs"
 	"counterlight/internal/obs/serve"
 	"counterlight/internal/obs/timeseries"
@@ -56,15 +54,7 @@ func main() {
 	progress := flag.Bool("progress", false, "print a periodic progress line (sim-time, IPC, epoch mode) on stderr")
 	serveAddr := flag.String("serve", "", "serve live telemetry over HTTP on this address (e.g. :8080, 127.0.0.1:0); the process keeps serving after the run until interrupted")
 	seriesFile := flag.String("series", "", "write the per-epoch time series to this file (.csv, else JSON)")
-	cipherName := flag.String("cipher", "", "AES backend for every engine: ref | ttable | stdlib (empty = $CL_CIPHER, else ttable)")
 	flag.Parse()
-
-	if *cipherName != "" {
-		if err := aes.SetDefaultBackend(*cipherName); err != nil {
-			fmt.Fprintln(os.Stderr, "clsim:", err)
-			os.Exit(2)
-		}
-	}
 
 	if *list {
 		fmt.Println("irregular (paper's primary set):")

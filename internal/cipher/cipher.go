@@ -12,8 +12,8 @@
 //     of a truncated OTP with a GF(2^64) dot product of the plaintext
 //     (as in SGX1's MEE / Synergy).
 //
-// Both engines are parameterized by an aes.Backend (ref, ttable, or
-// stdlib — all bit-exact) and batch their AES work: one engine call
+// Both engines are parameterized by an aes.Backend (stdlib or ref —
+// bit-exact with each other) and batch their AES work: one engine call
 // issues one EncryptBlocks over every block it needs, which is where a
 // hardware-class backend gets its pipelining win. The batch entry
 // points (PadBatch, TweakBatch) extend that to many memory blocks per

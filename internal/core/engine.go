@@ -35,8 +35,8 @@ type EngineOptions struct {
 	// limit permanently switches to counterless mode.
 	CounterLimit uint32
 	// Cipher selects the AES backend the engine's ciphers run on
-	// ("ref", "ttable", or "stdlib"; empty means the process default,
-	// aes.DefaultBackend). All backends are bit-exact, so this choice
+	// ("stdlib" or "ref"; empty means the process default,
+	// aes.DefaultBackend: $CL_CIPHER, else "stdlib"). All backends are bit-exact, so this choice
 	// affects only host-side speed, never stored bytes or MACs.
 	Cipher string
 	// DisableCorrection skips the Fig. 14 trial-and-error correction

@@ -132,7 +132,7 @@ func TestEngineCipherBackends(t *testing.T) {
 		}
 		return e
 	}
-	for _, backend := range []string{"ttable", "stdlib"} {
+	for _, backend := range []string{"stdlib"} {
 		// A fresh reference twin per backend: engine counters advance
 		// on every write, so a shared oracle would drift ahead.
 		ref := build("ref")

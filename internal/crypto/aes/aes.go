@@ -1,12 +1,14 @@
-// Package aes implements the Advanced Encryption Standard (FIPS-197)
-// from first principles: the S-box is derived from the GF(2^8) inverse
-// and affine transform, and the cipher runs the textbook round
-// structure (SubBytes, ShiftRows, MixColumns, AddRoundKey).
+// Package aes provides the AES block cipher (FIPS-197) behind the
+// Backend seam: crypto/aes as the fast path, and a textbook
+// implementation written from first principles as the reference. The
+// reference derives the S-box from the GF(2^8) inverse and affine
+// transform and runs the round structure (SubBytes, ShiftRows,
+// MixColumns, AddRoundKey) step by step.
 //
-// The implementation exists so that the memory-encryption engines in
-// this repository own their full cipher stack; it is validated against
-// the standard library and the FIPS-197 vectors in the tests. It is a
-// functional model, not a constant-time production cipher.
+// The reference is the "ref" backend: the differential oracle's
+// independent recomputation and the FIPS-197 anchor the tests check
+// every backend against. It is a functional model, not a
+// constant-time production cipher.
 package aes
 
 import "fmt"
@@ -74,10 +76,10 @@ func mulGF(a, b byte) byte {
 	return p
 }
 
-// Cipher is an AES block cipher with an expanded key schedule.
+// Cipher is the textbook AES block cipher with an expanded key
+// schedule; the "ref" backend runs it.
 type Cipher struct {
 	enc    []uint32 // round keys, 4*(rounds+1) words
-	dec    []uint32 // equivalent-inverse-cipher round keys
 	rounds int
 }
 
@@ -97,7 +99,6 @@ func New(key []byte) (*Cipher, error) {
 	}
 	c := &Cipher{rounds: rounds}
 	c.expandKey(key)
-	c.expandDec()
 	return c, nil
 }
 
@@ -193,16 +194,8 @@ func (s *state) invMixColumns() {
 	}
 }
 
-// Encrypt encrypts one 16-byte block; dst and src may overlap.
-func (c *Cipher) Encrypt(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: input not full block")
-	}
-	c.encryptFast(dst, src)
-}
-
-// encryptSlow is the textbook round-by-round cipher, kept as the
-// reference implementation the T-table path is tested against.
+// encryptSlow is the textbook round-by-round cipher on one 16-byte
+// block; dst and src may overlap.
 func (c *Cipher) encryptSlow(dst, src []byte) {
 	var s state
 	copy(s[:], src[:BlockSize])
@@ -219,17 +212,8 @@ func (c *Cipher) encryptSlow(dst, src []byte) {
 	copy(dst[:BlockSize], s[:])
 }
 
-// Decrypt decrypts one 16-byte block; dst and src may overlap.
-func (c *Cipher) Decrypt(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: input not full block")
-	}
-	c.decryptFast(dst, src)
-}
-
 // decryptSlow is the straightforward inverse cipher (FIPS-197 §5.3)
-// with the encryption round keys applied in reverse order — the
-// reference for the T-table path.
+// with the encryption round keys applied in reverse order.
 func (c *Cipher) decryptSlow(dst, src []byte) {
 	var s state
 	copy(s[:], src[:BlockSize])
@@ -244,41 +228,4 @@ func (c *Cipher) decryptSlow(dst, src []byte) {
 	s.invSubBytes()
 	s.addRoundKey(c.enc[0:4])
 	copy(dst[:BlockSize], s[:])
-}
-
-// EncryptBlocks encrypts len(src)/16 independent blocks in one call
-// (ECB over the batch) — the batch entry point pad generation uses.
-// dst and src may alias exactly but not partially overlap.
-func (c *Cipher) EncryptBlocks(dst, src []byte) {
-	if len(src)%BlockSize != 0 || len(dst) < len(src) {
-		panic("aes: batch length not a multiple of the block size")
-	}
-	for i := 0; i < len(src); i += BlockSize {
-		c.encryptFast(dst[i:], src[i:])
-	}
-}
-
-// DecryptBlocks is the batch inverse of EncryptBlocks.
-func (c *Cipher) DecryptBlocks(dst, src []byte) {
-	if len(src)%BlockSize != 0 || len(dst) < len(src) {
-		panic("aes: batch length not a multiple of the block size")
-	}
-	for i := 0; i < len(src); i += BlockSize {
-		c.decryptFast(dst[i:], src[i:])
-	}
-}
-
-// EncryptBlock is a convenience that returns the ciphertext of a
-// 16-byte array value.
-func (c *Cipher) EncryptBlock(src [16]byte) [16]byte {
-	var out [16]byte
-	c.Encrypt(out[:], src[:])
-	return out
-}
-
-// DecryptBlock is the array-value inverse of EncryptBlock.
-func (c *Cipher) DecryptBlock(src [16]byte) [16]byte {
-	var out [16]byte
-	c.Decrypt(out[:], src[:])
-	return out
 }

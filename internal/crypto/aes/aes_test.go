@@ -9,6 +9,19 @@ import (
 	"testing/quick"
 )
 
+// encBlock and decBlock run the textbook cipher on array values.
+func encBlock(c *Cipher, src [16]byte) [16]byte {
+	var out [16]byte
+	c.encryptSlow(out[:], src[:])
+	return out
+}
+
+func decBlock(c *Cipher, src [16]byte) [16]byte {
+	var out [16]byte
+	c.decryptSlow(out[:], src[:])
+	return out
+}
+
 func unhex(t *testing.T, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(s)
@@ -35,12 +48,12 @@ func TestFIPS197Vectors(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make([]byte, 16)
-			c.Encrypt(got, unhex(t, tc.plain))
+			c.encryptSlow(got, unhex(t, tc.plain))
 			if want := unhex(t, tc.cipher); !bytes.Equal(got, want) {
 				t.Errorf("encrypt = %x, want %x", got, want)
 			}
 			back := make([]byte, 16)
-			c.Decrypt(back, got)
+			c.decryptSlow(back, got)
 			if want := unhex(t, tc.plain); !bytes.Equal(back, want) {
 				t.Errorf("decrypt = %x, want %x", back, want)
 			}
@@ -55,7 +68,7 @@ func TestAppendixB(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, 16)
-	c.Encrypt(got, unhex(t, "3243f6a8885a308d313198a2e0370734"))
+	c.encryptSlow(got, unhex(t, "3243f6a8885a308d313198a2e0370734"))
 	if want := unhex(t, "3925841d02dc09fbdc118597196a0b32"); !bytes.Equal(got, want) {
 		t.Errorf("encrypt = %x, want %x", got, want)
 	}
@@ -81,8 +94,9 @@ func TestRounds(t *testing.T) {
 	}
 }
 
-// TestAgainstStdlib cross-checks encryption of random blocks under
-// random keys against crypto/aes for all three key sizes.
+// TestAgainstStdlib cross-checks the textbook cipher's encryption of
+// random blocks under random keys against crypto/aes for all three key
+// sizes.
 func TestAgainstStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, keyLen := range []int{16, 24, 32} {
@@ -101,13 +115,13 @@ func TestAgainstStdlib(t *testing.T) {
 			rng.Read(src)
 			got := make([]byte, 16)
 			want := make([]byte, 16)
-			ours.Encrypt(got, src)
+			ours.encryptSlow(got, src)
 			ref.Encrypt(want, src)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("keyLen=%d trial=%d: encrypt mismatch: got %x want %x", keyLen, trial, got, want)
 			}
 			back := make([]byte, 16)
-			ours.Decrypt(back, got)
+			ours.decryptSlow(back, got)
 			if !bytes.Equal(back, src) {
 				t.Fatalf("keyLen=%d trial=%d: roundtrip mismatch", keyLen, trial)
 			}
@@ -123,7 +137,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return c.DecryptBlock(c.EncryptBlock(block)) == block
+		return decBlock(c, encBlock(c, block)) == block
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -141,7 +155,7 @@ func TestQuickInjective(t *testing.T) {
 		if a == b {
 			return true
 		}
-		return c.EncryptBlock(a) != c.EncryptBlock(b)
+		return encBlock(c, a) != encBlock(c, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -158,11 +172,11 @@ func TestAvalanche(t *testing.T) {
 	var base [16]byte
 	rng := rand.New(rand.NewSource(7))
 	rng.Read(base[:])
-	ct0 := c.EncryptBlock(base)
+	ct0 := encBlock(c, base)
 	for bit := 0; bit < 128; bit++ {
 		mod := base
 		mod[bit/8] ^= 1 << (bit % 8)
-		ct1 := c.EncryptBlock(mod)
+		ct1 := encBlock(c, mod)
 		diff := 0
 		for i := range ct0 {
 			x := ct0[i] ^ ct1[i]
@@ -206,38 +220,51 @@ func TestMulGF(t *testing.T) {
 	}
 }
 
+// The batch entry points validate their geometry once and panic on a
+// batch that is not whole blocks or a dst shorter than src.
 func TestEncryptPanicsOnShortBlock(t *testing.T) {
-	c, _ := New(make([]byte, 16))
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on short block")
+	for _, name := range BackendNames() {
+		b, err := NewBackend(name, make([]byte, 16))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	c.Encrypt(make([]byte, 8), make([]byte, 8))
+		for _, call := range []struct {
+			what string
+			f    func()
+		}{
+			{"EncryptBlocks(8, 8)", func() { b.EncryptBlocks(make([]byte, 8), make([]byte, 8)) }},
+			{"DecryptBlocks(16, 32)", func() { b.DecryptBlocks(make([]byte, 16), make([]byte, 32)) }},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: %s did not panic", name, call.what)
+					}
+				}()
+				call.f()
+			}()
+		}
+	}
 }
 
 func BenchmarkEncryptAES128(b *testing.B) {
-	c, _ := New(make([]byte, 16))
-	var blk [16]byte
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		blk = c.EncryptBlock(blk)
+	for _, name := range BackendNames() {
+		b.Run(name, func(b *testing.B) {
+			c, err := NewBackend(name, make([]byte, 16))
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk := make([]byte, 16)
+			b.SetBytes(16)
+			for i := 0; i < b.N; i++ {
+				c.Encrypt(blk, blk)
+			}
+		})
 	}
-	_ = blk
 }
 
-func BenchmarkEncryptAES256(b *testing.B) {
-	c, _ := New(make([]byte, 32))
-	var blk [16]byte
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		blk = c.EncryptBlock(blk)
-	}
-	_ = blk
-}
-
-// The T-table fast path must agree with the textbook reference on
-// random inputs for every key size.
+// TestFastMatchesTextbook checks the fast path, the stdlib backend,
+// against the textbook cipher in both directions for all key sizes.
 func TestFastMatchesTextbook(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for _, keyLen := range []int{16, 24, 32} {
@@ -248,29 +275,24 @@ func TestFastMatchesTextbook(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			fastB, err := NewBackend(BackendStdlib, key)
+			if err != nil {
+				t.Fatal(err)
+			}
 			src := make([]byte, 16)
 			rng.Read(src)
 			fast := make([]byte, 16)
 			slow := make([]byte, 16)
-			c.encryptFast(fast, src)
+			fastB.Encrypt(fast, src)
 			c.encryptSlow(slow, src)
 			if !bytes.Equal(fast, slow) {
 				t.Fatalf("keyLen=%d: encrypt fast/slow mismatch", keyLen)
 			}
-			c.decryptFast(fast, src)
+			fastB.Decrypt(fast, src)
 			c.decryptSlow(slow, src)
 			if !bytes.Equal(fast, slow) {
 				t.Fatalf("keyLen=%d: decrypt fast/slow mismatch", keyLen)
 			}
 		}
-	}
-}
-
-func BenchmarkEncryptSlowAES128(b *testing.B) {
-	c, _ := New(make([]byte, 16))
-	blk := make([]byte, 16)
-	b.SetBytes(16)
-	for i := 0; i < b.N; i++ {
-		c.encryptSlow(blk, blk)
 	}
 }

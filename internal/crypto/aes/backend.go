@@ -3,22 +3,19 @@ package aes
 // The backend seam: every consumer of AES in this repository (the XTS
 // and CTR engines in internal/cipher, and through them the functional
 // engine and the mcpool shards) reaches the block cipher through the
-// Backend interface instead of a concrete implementation. Three
-// backends register here:
+// Backend interface instead of a concrete implementation. Two backends
+// register here:
 //
-//   - "ref": the textbook round-by-round cipher (encryptSlow), the
-//     bit-exactness anchor everything else is compared against. The
-//     differential oracle in internal/check always recomputes through
-//     this backend regardless of what the engine under test runs.
-//   - "ttable": the T-table path (encryptFast), the repo's historical
-//     default — selecting it reproduces the seed behavior bit for bit
-//     at the seed's speed.
 //   - "stdlib": crypto/aes from the standard library, which dispatches
 //     to AES-NI/NEON on real hardware — the hardware-class pad
-//     generator the paper's latency model assumes.
+//     generator the paper's latency model assumes, and the default.
+//   - "ref": the textbook round-by-round cipher (encryptSlow), the
+//     bit-exactness anchor the fast path is compared against. The
+//     differential oracle in internal/check always recomputes through
+//     this backend regardless of what the engine under test runs.
 //
-// All three are bit-exact (FIPS-197 AES is AES); the conformance
-// goldens, FuzzCipherBackends, and the check harness's independent
+// Both are bit-exact (FIPS-197 AES is AES); the conformance goldens,
+// FuzzCipherBackends, and the check harness's independent
 // recomputation enforce that continuously.
 
 import (
@@ -48,7 +45,6 @@ type Backend interface {
 // Registered backend names.
 const (
 	BackendRef    = "ref"
-	BackendTTable = "ttable"
 	BackendStdlib = "stdlib"
 )
 
@@ -62,13 +58,6 @@ var builders = map[string]func(key []byte) (Backend, error){
 		}
 		return refBackend{c}, nil
 	},
-	BackendTTable: func(key []byte) (Backend, error) {
-		c, err := New(key)
-		if err != nil {
-			return nil, err
-		}
-		return ttableBackend{c}, nil
-	},
 	BackendStdlib: func(key []byte) (Backend, error) {
 		b, err := stdaes.NewCipher(key)
 		if err != nil {
@@ -79,32 +68,20 @@ var builders = map[string]func(key []byte) (Backend, error){
 }
 
 // defaultBackend is the process-wide backend used when a caller
-// passes an empty name. It starts from the CL_CIPHER environment
-// variable (empty means "ttable", the seed behavior) and is overridden
-// by the CLIs' -cipher flag via SetDefaultBackend. Set it before
-// building engines; it is not synchronized for concurrent mutation.
+// passes an empty name: the CL_CIPHER environment variable, read once
+// at startup, else "stdlib".
 var defaultBackend = func() string {
 	if v := os.Getenv("CL_CIPHER"); v != "" {
 		return v
 	}
-	return BackendTTable
+	return BackendStdlib
 }()
 
-// DefaultBackend returns the current process-wide default backend
+// DefaultBackend returns the process-wide default backend
 // name. The value is reported verbatim: an unknown name (e.g. a typo
 // in CL_CIPHER) surfaces as a loud NewBackend error at engine
 // construction instead of a silent fallback.
 func DefaultBackend() string { return defaultBackend }
-
-// SetDefaultBackend installs the process-wide default, rejecting
-// unknown names. Call it once at startup, before engines are built.
-func SetDefaultBackend(name string) error {
-	if _, ok := builders[name]; !ok {
-		return fmt.Errorf("aes: unknown cipher backend %q (have %v)", name, BackendNames())
-	}
-	defaultBackend = name
-	return nil
-}
 
 // BackendNames lists the registered backends, sorted.
 func BackendNames() []string {
@@ -158,16 +135,6 @@ func (b refBackend) DecryptBlocks(dst, src []byte) {
 		b.c.decryptSlow(dst[i*BlockSize:], src[i*BlockSize:])
 	}
 }
-
-// ttableBackend dispatches to the T-table cipher.
-type ttableBackend struct{ c *Cipher }
-
-func (b ttableBackend) Rounds() int             { return b.c.rounds }
-func (b ttableBackend) Encrypt(dst, src []byte) { b.c.encryptFast(dst, src) }
-func (b ttableBackend) Decrypt(dst, src []byte) { b.c.decryptFast(dst, src) }
-
-func (b ttableBackend) EncryptBlocks(dst, src []byte) { b.c.EncryptBlocks(dst, src) }
-func (b ttableBackend) DecryptBlocks(dst, src []byte) { b.c.DecryptBlocks(dst, src) }
 
 // stdBackend wraps crypto/aes, which uses the hardware AES
 // instructions where the platform has them.

@@ -2,17 +2,21 @@ package aes
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
 // TestBackendsBitExact drives every registered backend over random
-// keys and blocks and requires byte-identical output: FIPS-197 AES is
-// AES, whichever implementation computes it.
+// keys and blocks and requires byte-identical output to the textbook
+// ref backend in both directions: FIPS-197 AES is AES, whichever
+// implementation computes it.
 func TestBackendsBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, keyLen := range []int{16, 24, 32} {
-		for trial := 0; trial < 50; trial++ {
+		for trial := 0; trial < 100; trial++ {
 			key := make([]byte, keyLen)
 			rng.Read(key)
 			ref, err := NewBackend(BackendRef, key)
@@ -21,8 +25,9 @@ func TestBackendsBitExact(t *testing.T) {
 			}
 			var pt [BlockSize]byte
 			rng.Read(pt[:])
-			var want [BlockSize]byte
+			var want, wantDec [BlockSize]byte
 			ref.Encrypt(want[:], pt[:])
+			ref.Decrypt(wantDec[:], pt[:])
 			for _, name := range BackendNames() {
 				b, err := NewBackend(name, key)
 				if err != nil {
@@ -37,6 +42,11 @@ func TestBackendsBitExact(t *testing.T) {
 				b.Decrypt(back[:], ct[:])
 				if back != pt {
 					t.Fatalf("%s: keyLen=%d Decrypt does not invert Encrypt", name, keyLen)
+				}
+				var dec [BlockSize]byte
+				b.Decrypt(dec[:], pt[:])
+				if dec != wantDec {
+					t.Fatalf("%s: keyLen=%d Decrypt diverges from ref", name, keyLen)
 				}
 			}
 		}
@@ -85,44 +95,36 @@ func TestBackendBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestBackendRegistry pins the registry surface: the three names, the
-// default, and loud errors for unknown names and bad keys.
+// TestBackendRegistry pins the registry surface: the two names, the
+// stdlib default, and loud errors for unknown names (a CL_CIPHER typo,
+// or the retired "ttable") and bad keys.
 func TestBackendRegistry(t *testing.T) {
-	want := []string{BackendRef, BackendStdlib, BackendTTable}
-	got := BackendNames()
-	if len(got) != len(want) {
+	if got, want := fmt.Sprint(BackendNames()), fmt.Sprint([]string{BackendRef, BackendStdlib}); got != want {
 		t.Fatalf("BackendNames() = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("BackendNames() = %v, want %v", got, want)
+	for _, name := range []string{"nope", "ttable", "Stdlib"} {
+		_, err := NewBackend(name, make([]byte, 16))
+		if err == nil || !strings.Contains(err.Error(), "unknown cipher backend") {
+			t.Fatalf("NewBackend(%q) error = %v, want unknown cipher backend", name, err)
 		}
-	}
-	if _, err := NewBackend("nope", make([]byte, 16)); err == nil {
-		t.Fatal("NewBackend(nope) did not error")
-	}
-	if err := SetDefaultBackend("nope"); err == nil {
-		t.Fatal("SetDefaultBackend(nope) did not error")
 	}
 	for _, name := range BackendNames() {
 		if _, err := NewBackend(name, make([]byte, 7)); err == nil {
 			t.Fatalf("%s: 7-byte key did not error", name)
 		}
 	}
-	old := DefaultBackend()
-	defer func() {
-		if err := SetDefaultBackend(old); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := SetDefaultBackend(BackendStdlib); err != nil {
-		t.Fatal(err)
+	if os.Getenv("CL_CIPHER") == "" && DefaultBackend() != BackendStdlib {
+		t.Fatalf("DefaultBackend() = %q with CL_CIPHER unset, want %q", DefaultBackend(), BackendStdlib)
 	}
 	b, err := NewBackend("", make([]byte, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.(stdBackend); !ok {
-		t.Fatalf("empty name resolved to %T, want stdBackend", b)
+	want, err := NewBackend(DefaultBackend(), make([]byte, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprintf("%T", b) != fmt.Sprintf("%T", want) {
+		t.Fatalf("empty name resolved to %T, want the default's %T", b, want)
 	}
 }

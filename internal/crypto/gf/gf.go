@@ -13,10 +13,6 @@ package gf
 
 import "math/bits"
 
-// reductionPoly is the low half of the irreducible polynomial
-// x^64 + x^4 + x^3 + x + 1 used to reduce products into GF(2^64).
-const reductionPoly = 0x1b
-
 // ClMul64 returns the 128-bit carry-less product of a and b as
 // (hi, lo).
 func ClMul64(a, b uint64) (hi, lo uint64) {
@@ -35,13 +31,15 @@ func ClMul64(a, b uint64) (hi, lo uint64) {
 // x^64 + x^4 + x^3 + x + 1.
 func Mul(a, b uint64) uint64 {
 	hi, lo := ClMul64(a, b)
-	// Reduce the high 64 bits: x^64 ≡ x^4 + x^3 + x + 1.
-	// Folding hi once can carry out at most 4 bits, so fold twice.
-	h2, l2 := ClMul64(hi, reductionPoly)
-	lo ^= l2
-	_, l3 := ClMul64(h2, reductionPoly)
-	return lo ^ l3
+	// Reduce the high 64 bits: x^64 ≡ x^4 + x^3 + x + 1, so hi·x^64
+	// folds to hi ^ hi<<1 ^ hi<<3 ^ hi<<4, whose overflow past bit 63
+	// is hi>>63 ^ hi>>61 ^ hi>>60. That overflow is below 2^4, so a
+	// second fold carries nothing out.
+	return lo ^ fold(hi) ^ fold(hi>>63^hi>>61^hi>>60)
 }
+
+// fold returns the low 64 bits of h·(x^4 + x^3 + x + 1).
+func fold(h uint64) uint64 { return h ^ h<<1 ^ h<<3 ^ h<<4 }
 
 // Add adds two field elements (XOR).
 func Add(a, b uint64) uint64 { return a ^ b }

@@ -47,6 +47,41 @@ func TestClMulDistributive(t *testing.T) {
 	}
 }
 
+// mulOracle is the bit-serial reference for Mul: reduce the high half
+// by carry-less multiplication with the low half of the polynomial
+// x^64 + x^4 + x^3 + x + 1 (0x1b), twice.
+func mulOracle(a, b uint64) uint64 {
+	hi, lo := ClMul64(a, b)
+	h2, l2 := ClMul64(hi, 0x1b)
+	_, l3 := ClMul64(h2, 0x1b)
+	return lo ^ l2 ^ l3
+}
+
+// Mul's shift-based reduction must agree with the ClMul64 reduction on
+// edge operands and on random pairs, including ones with the top
+// nibble set (the bits whose overflow needs the second fold).
+func TestMulMatchesOracle(t *testing.T) {
+	edges := []uint64{0, 1, 2, 0x1b, 1 << 60, 1 << 63, 0xf000000000000000, ^uint64(0)}
+	for _, a := range edges {
+		for _, b := range edges {
+			if got, want := Mul(a, b), mulOracle(a, b); got != want {
+				t.Fatalf("Mul(%#x, %#x) = %#x, want %#x", a, b, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 20000; i++ {
+		a, b := rng.Uint64(), rng.Uint64()
+		if i%2 == 0 {
+			a |= 0xf << 60
+			b |= 0xf << 60
+		}
+		if got, want := Mul(a, b), mulOracle(a, b); got != want {
+			t.Fatalf("Mul(%#x, %#x) = %#x, want %#x", a, b, got, want)
+		}
+	}
+}
+
 func TestMulFieldAxioms(t *testing.T) {
 	one := func(a uint64) bool { return Mul(a, 1) == a && Mul(1, a) == a }
 	if err := quick.Check(one, nil); err != nil {
